@@ -1,12 +1,18 @@
 //! The standing perf-regression harness: micro-benches for the simulator
 //! hot path (rate recompute, event-loop stepping) plus wall-clock macro
-//! numbers for two end-to-end scenarios (the Fig 13 4-worker sweep shape
-//! and an 8-GPU cluster drive).
+//! numbers for three end-to-end scenarios (the Fig 13 4-worker sweep
+//! shape, an 8-GPU cluster drive, and an emulated overload run with
+//! metrics on and off).
 //!
 //! Every run writes `results/perf_smoke.json` and refreshes the
 //! workspace-root `BENCH_<PR>.json` trajectory point, so regressions are
 //! comparable across PRs. `KRISP_SMOKE=1` shrinks the macro scenarios
-//! for CI; micro numbers are unaffected.
+//! for CI; micro numbers are unaffected. `KRISP_PERF_BEFORE=<file>`
+//! embeds a `perf_smoke.json` measured at an earlier commit as the
+//! point's `before`, so one file carries a before/after pair.
+//!
+//! The run fails if recording metrics costs more than
+//! [`MAX_METRICS_OVERHEAD`] times the disabled run.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -16,12 +22,21 @@ use serde::Serialize;
 
 use krisp::{KrispAllocator, Policy};
 use krisp_models::ModelKind;
-use krisp_runtime::{PartitionMode, Runtime, RuntimeConfig};
-use krisp_server::{oracle_perfdb, run_cluster, run_server, ClusterConfig, Routing, ServerConfig};
+use krisp_obs::{EventBus, Metrics, Obs};
+use krisp_runtime::{EmulationCosts, PartitionMode, Runtime, RuntimeConfig};
+use krisp_server::{
+    oracle_perfdb, run_cluster, run_server, run_server_observed, Arrival, ClusterConfig,
+    KrispEnforcement, Routing, SentinelConfig, ServerConfig,
+};
 use krisp_sim::{CuMask, Engine, GpuTopology, KernelDesc, SimDuration, SimTime};
 
 /// The PR index this trajectory point belongs to.
-const TRAJECTORY_PR: u32 = 5;
+const TRAJECTORY_PR: u32 = 8;
+
+/// Ceiling on metrics-on over metrics-off wall-clock for the overload
+/// pair. Shared CI runners are noisy, so this sits above the ≤ 1.2×
+/// target; the measured ratio is recorded in every point.
+const MAX_METRICS_OVERHEAD: f64 = 1.5;
 
 #[derive(Debug, Serialize)]
 struct PerfSmoke {
@@ -33,6 +48,11 @@ struct PerfSmoke {
     micro_ns: Vec<(String, f64)>,
     /// Wall-clock milliseconds, per macro scenario.
     macro_ms: Vec<(String, f64)>,
+    /// `overload_metrics_on` over `overload_metrics_off`.
+    metrics_on_over_off: f64,
+    /// The same bench measured at an earlier commit, when
+    /// `KRISP_PERF_BEFORE` names its `perf_smoke.json`.
+    before: Option<serde_json::Value>,
 }
 
 fn smoke() -> bool {
@@ -194,6 +214,53 @@ fn macro_scenarios(out: &mut Vec<(String, f64)>, smoke: bool) {
     out.push(("cluster_8gpu_drive".to_string(), cluster_ms));
 }
 
+/// Metrics recording vs disabled observability on the shape that
+/// records the most series per kernel: four Squeezenet workers under
+/// emulated KRISP-I, Poisson arrivals past capacity, every sentinel
+/// guardrail armed. Min-of-N wall-clock of each, the two alternating so
+/// machine drift hits both alike; under a second in all, so
+/// `KRISP_SMOKE` leaves it full length. Returns on over off.
+fn macro_metrics_overhead(out: &mut Vec<(String, f64)>) -> f64 {
+    const RUNS: usize = 15;
+    let mut cfg = ServerConfig::closed_loop(Policy::KrispI, vec![ModelKind::Squeezenet; 4], 32);
+    cfg.enforcement = KrispEnforcement::Emulated(EmulationCosts::default());
+    cfg.arrival = Arrival::Poisson {
+        rps_per_worker: 400.0,
+    };
+    cfg.deadline = Some(SimDuration::from_millis(40));
+    cfg.queue_capacity = Some(32);
+    cfg.sentinel = Some(SentinelConfig::standard(150.0));
+    cfg.warmup = Some(SimDuration::from_millis(40));
+    cfg.duration = Some(SimDuration::from_millis(1500));
+    let db = oracle_perfdb(&cfg.models, &[cfg.batch]);
+    let wall_ms = |obs: Obs| {
+        let start = Instant::now();
+        black_box(run_server_observed(&cfg, &db, obs));
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut on_ms, mut off_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..RUNS {
+        on_ms = on_ms.min(wall_ms(Obs {
+            bus: EventBus::disabled(),
+            metrics: Metrics::recording(),
+        }));
+        off_ms = off_ms.min(wall_ms(Obs::disabled()));
+    }
+    let ratio = on_ms / off_ms;
+    for (name, ms) in [
+        ("overload_metrics_on", on_ms),
+        ("overload_metrics_off", off_ms),
+    ] {
+        println!(
+            "{:<50} wall: [{ms:.0} ms]",
+            format!("macro/{name} (min of {RUNS})")
+        );
+        out.push((name.to_string(), ms));
+    }
+    println!("{:<50} [{ratio:.3}x]", "macro/metrics_on_over_off");
+    ratio
+}
+
 fn main() {
     let smoke = smoke();
     let mut micro_ns = Vec::new();
@@ -202,12 +269,20 @@ fn main() {
     micro_rate_recompute(&mut micro_ns);
     micro_step_throughput(&mut micro_ns);
     macro_scenarios(&mut macro_ms, smoke);
+    let metrics_on_over_off = macro_metrics_overhead(&mut macro_ms);
 
+    let before = std::env::var_os("KRISP_PERF_BEFORE").map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", PathBuf::from(&path).display()));
+        serde_json::from_str(&text).expect("KRISP_PERF_BEFORE holds a perf_smoke.json")
+    });
     let record = PerfSmoke {
         pr: TRAJECTORY_PR,
         smoke,
         micro_ns,
         macro_ms,
+        metrics_on_over_off,
+        before,
     };
     let json = serde_json::to_string_pretty(&record).expect("serialize");
     let results = std::env::var_os("KRISP_RESULTS")
@@ -220,4 +295,9 @@ fn main() {
     let traj = workspace_root().join(format!("BENCH_{TRAJECTORY_PR}.json"));
     std::fs::write(&traj, &json).expect("write trajectory point");
     eprintln!("[saved {}]", traj.display());
+    assert!(
+        metrics_on_over_off <= MAX_METRICS_OVERHEAD,
+        "recording metrics costs {metrics_on_over_off:.3}x the disabled run \
+         (ceiling {MAX_METRICS_OVERHEAD}x)"
+    );
 }

@@ -7,8 +7,10 @@
 //!   [`Event`]s — kernel dispatches and completions, mask applications,
 //!   barrier drains, emulated reconfigurations, request lifecycle — into
 //!   a pluggable [`Sink`] (normally a bounded [`RingBufferSink`]);
-//! * a **metrics registry** ([`Metrics`] / [`Registry`]) of labelled
-//!   counters, gauges and log-bucketed [`Histogram`]s;
+//! * a **metrics store** ([`Metrics`]) of labelled counters, gauges and
+//!   log-bucketed [`Histogram`]s, recorded through handles resolved once
+//!   per series ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`])
+//!   and read back as a [`Registry`] snapshot;
 //! * **exporters**: a Chrome-trace-event / Perfetto JSON builder
 //!   ([`perfetto::chrome_trace`]) and Prometheus text exposition plus a
 //!   JSON snapshot ([`prometheus::render_text`],
@@ -52,7 +54,9 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 pub use event::{Event, EventKind};
-pub use metrics::{Histogram, MetricKey, Metrics, Registry};
+pub use metrics::{
+    CounterHandle, GaugeHandle, Histogram, HistogramHandle, MetricKey, Metrics, Registry,
+};
 pub use sink::{EventBus, RingBufferSink, Sink};
 
 /// The observability bundle handed down through configuration structs:

@@ -1,8 +1,10 @@
 //! Labelled counters, gauges and log-bucketed histograms.
 //!
-//! The [`Metrics`] handle is cheap to clone and a no-op when disabled;
-//! the backing [`Registry`] keys every series by metric name plus a
-//! sorted label set, so iteration order (and therefore every exporter's
+//! The [`Metrics`] handle is cheap to clone and a no-op when disabled.
+//! Callers resolve a series once to a [`CounterHandle`],
+//! [`GaugeHandle`] or [`HistogramHandle`] and record through it; the
+//! [`Registry`] snapshot keys every series by metric name plus a sorted
+//! label set, so iteration order (and therefore every exporter's
 //! output) is deterministic.
 //!
 //! [`Histogram`] buckets grow geometrically by [`Histogram::GROWTH`]
@@ -13,6 +15,7 @@
 //! bucket whose upper bound the sketch reports.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A metric series identifier: name plus sorted `(label, value)` pairs.
@@ -168,8 +171,9 @@ impl Histogram {
     }
 }
 
-/// The backing store of all metric series.
-#[derive(Debug, Clone, Default)]
+/// A point-in-time copy of every recorded series: the read-only type
+/// exporters and reports consume ([`Metrics::snapshot`] builds it).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
@@ -180,27 +184,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// Adds `delta` to a counter series, creating it at zero.
-    pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += delta;
-    }
-
-    /// Sets a gauge series to `value`.
-    pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.gauges.insert(MetricKey::new(name, labels), value);
-    }
-
-    /// Records `value` into a histogram series.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_default()
-            .observe(value);
     }
 
     /// Reads a counter series.
@@ -239,18 +222,142 @@ impl Registry {
     }
 }
 
+/// The cell behind a counter series (its value) or a gauge series (its
+/// `f64` bits). `touched` marks the first recording, so a resolved but
+/// never-recorded series stays out of snapshots (an `inc` of 0 still
+/// counts as a recording). It is set with `Release` after the value is
+/// written, so a snapshot that sees it also sees that value.
+#[derive(Debug, Default)]
+struct AtomicCell {
+    value: AtomicU64,
+    touched: AtomicBool,
+}
+
+impl AtomicCell {
+    /// The value, once something has been recorded.
+    fn recorded(&self) -> Option<u64> {
+        self.touched
+            .load(Ordering::Acquire)
+            .then(|| self.value.load(Ordering::Relaxed))
+    }
+}
+
+type Cells<C> = Mutex<BTreeMap<MetricKey, Arc<C>>>;
+
+/// Every series' cell, by key. The maps are locked only to resolve a
+/// series or to take a snapshot; recording goes straight to a cell.
+#[derive(Debug, Default)]
+struct Store {
+    counters: Cells<AtomicCell>,
+    gauges: Cells<AtomicCell>,
+    histograms: Cells<Mutex<Histogram>>,
+}
+
+/// The cell for `(name, labels)` in `cells`, created on first resolve.
+fn resolve<C: Default>(cells: &Cells<C>, name: &str, labels: &[(&str, &str)]) -> Arc<C> {
+    cells
+        .lock()
+        .expect("registry poisoned")
+        .entry(MetricKey::new(name, labels))
+        .or_default()
+        .clone()
+}
+
+/// The recorded series of `cells`, as `(key, value)` for the snapshot.
+fn recorded<C, V>(cells: &Cells<C>, value: impl Fn(&C) -> Option<V>) -> BTreeMap<MetricKey, V> {
+    cells
+        .lock()
+        .expect("registry poisoned")
+        .iter()
+        .filter_map(|(key, cell)| Some((key.clone(), value(cell)?)))
+        .collect()
+}
+
+/// A resolved counter series. Recording is one atomic add; a handle
+/// from a disabled [`Metrics`] holds `None` and records nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CounterHandle(Option<Arc<AtomicCell>>);
+
+impl CounterHandle {
+    /// Adds `delta` to the series.
+    #[inline]
+    pub fn inc(&self, delta: u64) {
+        if let Some(cell) = &self.0 {
+            cell.value.fetch_add(delta, Ordering::Relaxed);
+            cell.touched.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// A resolved gauge series (see [`CounterHandle`]).
+#[derive(Debug, Clone, Default)]
+pub struct GaugeHandle(Option<Arc<AtomicCell>>);
+
+impl GaugeHandle {
+    /// Sets the series to `value`.
+    #[inline]
+    pub fn set(&self, value: f64) {
+        if let Some(cell) = &self.0 {
+            cell.value.store(value.to_bits(), Ordering::Relaxed);
+            cell.touched.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// A resolved histogram series, behind its own lock (see
+/// [`CounterHandle`]).
+#[derive(Debug, Clone, Default)]
+pub struct HistogramHandle(Option<Arc<Mutex<Histogram>>>);
+
+impl HistogramHandle {
+    /// True when the handle records (it came from a live [`Metrics`]),
+    /// so a caller can skip measuring a value nobody keeps.
+    pub fn enabled(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&self, value: f64) {
+        if let Some(cell) = &self.0 {
+            cell.lock().expect("histogram poisoned").observe(value);
+        }
+    }
+}
+
 /// The producer-side handle: cheap to clone, `Send`, no-op when
-/// disabled.
+/// disabled. Clones share one store.
+///
+/// Hot paths resolve each series once with [`Metrics::counter`],
+/// [`Metrics::gauge`] or [`Metrics::histogram`] and record through the
+/// handle: no allocation, no key comparison, no store-wide lock. The
+/// string-keyed [`Metrics::inc`], [`Metrics::set_gauge`] and
+/// [`Metrics::observe`] resolve and record in one call, for cold sites.
+/// Either way a series appears in [`Metrics::snapshot`] from its first
+/// recording on, and two resolutions of one key share one cell.
+///
+/// # Examples
+///
+/// ```
+/// use krisp_obs::Metrics;
+///
+/// let m = Metrics::recording();
+/// let hits = m.counter("hits_total", &[("worker", "0")]);
+/// assert!(m.snapshot().unwrap().is_empty(), "resolved, not yet recorded");
+/// hits.inc(2);
+/// m.inc("hits_total", &[("worker", "0")], 3);
+/// assert_eq!(m.snapshot().unwrap().counter("hits_total", &[("worker", "0")]), Some(5));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    inner: Option<Arc<Mutex<Registry>>>,
+    inner: Option<Arc<Store>>,
 }
 
 impl Metrics {
-    /// A live handle over a fresh registry.
+    /// A live handle over a fresh store.
     pub fn recording() -> Metrics {
         Metrics {
-            inner: Some(Arc::new(Mutex::new(Registry::new()))),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -264,44 +371,60 @@ impl Metrics {
         self.inner.is_some()
     }
 
+    /// Resolves a counter series to a handle.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+        CounterHandle(
+            self.inner
+                .as_ref()
+                .map(|s| resolve(&s.counters, name, labels)),
+        )
+    }
+
+    /// Resolves a gauge series to a handle.
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
+        GaugeHandle(
+            self.inner
+                .as_ref()
+                .map(|s| resolve(&s.gauges, name, labels)),
+        )
+    }
+
+    /// Resolves a histogram series to a handle.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        HistogramHandle(
+            self.inner
+                .as_ref()
+                .map(|s| resolve(&s.histograms, name, labels)),
+        )
+    }
+
     /// Adds `delta` to a counter series.
-    #[inline]
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("registry poisoned")
-                .inc(name, labels, delta);
-        }
+        self.counter(name, labels).inc(delta);
     }
 
     /// Sets a gauge series.
-    #[inline]
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("registry poisoned")
-                .set_gauge(name, labels, value);
-        }
+        self.gauge(name, labels).set(value);
     }
 
     /// Records a histogram observation.
-    #[inline]
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("registry poisoned")
-                .observe(name, labels, value);
-        }
+        self.histogram(name, labels).observe(value);
     }
 
-    /// A point-in-time copy of the registry (`None` when disabled).
+    /// A point-in-time copy of every recorded series (`None` when
+    /// disabled).
     pub fn snapshot(&self) -> Option<Registry> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.lock().expect("registry poisoned").clone())
+        let store = self.inner.as_ref()?;
+        Some(Registry {
+            counters: recorded(&store.counters, AtomicCell::recorded),
+            gauges: recorded(&store.gauges, |g| g.recorded().map(f64::from_bits)),
+            histograms: recorded(&store.histograms, |h| {
+                let h = h.lock().expect("histogram poisoned");
+                (h.count() > 0).then(|| h.clone())
+            }),
+        })
     }
 }
 
@@ -334,7 +457,131 @@ mod tests {
     fn disabled_metrics_record_nothing() {
         let m = Metrics::disabled();
         m.inc("hits", &[], 1);
+        m.counter("hits", &[]).inc(1);
+        m.gauge("depth", &[]).set(1.0);
+        m.histogram("lat", &[]).observe(1.0);
+        assert!(m.counter("hits", &[]).0.is_none());
         assert!(m.snapshot().is_none());
+    }
+
+    #[test]
+    fn resolved_but_unrecorded_series_stay_out_of_snapshots() {
+        let m = Metrics::recording();
+        let _c = m.counter("hits", &[("worker", "0")]);
+        let _g = m.gauge("depth", &[]);
+        let _h = m.histogram("lat", &[]);
+        assert!(m.snapshot().unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_increment_of_zero_creates_its_series() {
+        let m = Metrics::recording();
+        m.inc("by_key", &[], 0);
+        m.counter("by_handle", &[]).inc(0);
+        let r = m.snapshot().unwrap();
+        assert_eq!(r.counter("by_key", &[]), Some(0));
+        assert_eq!(r.counter("by_handle", &[]), Some(0));
+    }
+
+    #[test]
+    fn two_handles_to_one_key_share_a_cell() {
+        let m = Metrics::recording();
+        let labels = [("a", "1"), ("b", "2")];
+        let swapped = [("b", "2"), ("a", "1")];
+        m.counter("c", &labels).inc(1);
+        m.counter("c", &swapped).inc(2);
+        m.gauge("g", &labels).set(1.0);
+        m.gauge("g", &swapped).set(7.0);
+        m.histogram("h", &labels).observe(1.0);
+        m.clone().histogram("h", &swapped).observe(2.0);
+        let r = m.snapshot().unwrap();
+        assert_eq!(r.counter("c", &labels), Some(3));
+        assert_eq!(r.gauge("g", &labels), Some(7.0));
+        assert_eq!(r.histogram("h", &labels).unwrap().count(), 2);
+        assert_eq!(r.counters().count(), 1);
+    }
+
+    /// SplitMix64: a dependency-free seeded generator for the
+    /// differential test below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+
+        /// Uniform in `[-10, 90)`, so histograms see the underflow bucket.
+        fn value(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 10.0
+        }
+    }
+
+    #[test]
+    fn handles_and_string_keyed_calls_record_identical_registries() {
+        use crate::prometheus::{render_json, render_text};
+
+        const NAMES: [&str; 3] = ["krisp_a_total", "krisp_b", "krisp_c_ns"];
+        const WORKERS: [&str; 4] = ["0", "1", "10", "none"];
+        let labels = |w: &'static str| -> Vec<(&'static str, &'static str)> {
+            if w == "none" {
+                Vec::new()
+            } else {
+                vec![("worker", w), ("model", "squeezenet")]
+            }
+        };
+        for seed in 0..16 {
+            let mut rng = SplitMix(seed);
+            let by_key = Metrics::recording();
+            let by_handle = Metrics::recording();
+            // Every series is resolved up front; only recorded ones may
+            // reach the snapshot.
+            let mut counters = Vec::new();
+            let mut gauges = Vec::new();
+            let mut histograms = Vec::new();
+            for name in NAMES {
+                for w in WORKERS {
+                    counters.push(by_handle.counter(name, &labels(w)));
+                    gauges.push(by_handle.gauge(name, &labels(w)));
+                    histograms.push(by_handle.histogram(name, &labels(w)));
+                }
+            }
+            for _ in 0..200 {
+                let series = rng.below((NAMES.len() * WORKERS.len()) as u64);
+                let (name, w) = (
+                    NAMES[series / WORKERS.len()],
+                    WORKERS[series % WORKERS.len()],
+                );
+                match rng.below(3) {
+                    0 => {
+                        let delta = rng.below(4) as u64;
+                        by_key.inc(name, &labels(w), delta);
+                        counters[series].inc(delta);
+                    }
+                    1 => {
+                        let v = rng.value();
+                        by_key.set_gauge(name, &labels(w), v);
+                        gauges[series].set(v);
+                    }
+                    _ => {
+                        let v = rng.value();
+                        by_key.observe(name, &labels(w), v);
+                        histograms[series].observe(v);
+                    }
+                }
+            }
+            let (a, b) = (by_key.snapshot().unwrap(), by_handle.snapshot().unwrap());
+            assert_eq!(a, b, "seed {seed}");
+            assert_eq!(render_text(&a), render_text(&b), "seed {seed}");
+            assert_eq!(render_json(&a), render_json(&b), "seed {seed}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+mod config;
 pub mod error;
 pub mod perfdb;
 pub mod runtime;

@@ -17,7 +17,7 @@ use krisp::{
     prior_work_partitions, static_equal_masks, InstrumentedAllocator, KrispAllocator, Policy,
 };
 use krisp_models::{generate_trace, ModelKind, TraceConfig};
-use krisp_obs::{EventKind, Obs};
+use krisp_obs::{CounterHandle, EventKind, GaugeHandle, HistogramHandle, Metrics, Obs};
 use krisp_runtime::{PartitionMode, RequiredCusTable, RtEvent, Runtime, RuntimeConfig, StreamId};
 use krisp_serve_core::engine::{drive, Dispatcher, ExternalArrival};
 use krisp_serve_core::{exp_sample, AdmissionChain, InferenceRequest, Worker};
@@ -34,6 +34,35 @@ const TOKEN_ARRIVAL_BASE: u64 = 0x7000_0000_0001_0000;
 const TOKEN_START_BASE: u64 = 0x7000_0000_0002_0000;
 const TOKEN_BATCH_BASE: u64 = 0x7000_0000_0003_0000;
 
+/// One worker's per-request metric series, resolved once per run.
+pub(super) struct WorkerSeries {
+    /// `krisp_requests_total{model,worker}`.
+    requests: CounterHandle,
+    /// `krisp_request_latency_ms{model,worker}`.
+    latency_ms: HistogramHandle,
+    /// `krisp_sentinel_admission_shed_total{worker}`.
+    admission_shed: CounterHandle,
+    /// `krisp_requests_shed_total{worker}`.
+    queue_shed: CounterHandle,
+    /// `krisp_request_queue_depth{worker}`.
+    queue_depth: GaugeHandle,
+}
+
+impl WorkerSeries {
+    fn resolve(metrics: &Metrics, worker: usize, model: ModelKind) -> WorkerSeries {
+        let worker = worker.to_string();
+        let by_worker = [("worker", worker.as_str())];
+        let by_model = [("model", model.name()), ("worker", worker.as_str())];
+        WorkerSeries {
+            requests: metrics.counter("krisp_requests_total", &by_model),
+            latency_ms: metrics.histogram("krisp_request_latency_ms", &by_model),
+            admission_shed: metrics.counter("krisp_sentinel_admission_shed_total", &by_worker),
+            queue_shed: metrics.counter("krisp_requests_shed_total", &by_worker),
+            queue_depth: metrics.gauge("krisp_request_queue_depth", &by_worker),
+        }
+    }
+}
+
 /// All per-run state of the single-GPU server: the runtime machine, its
 /// workers, the sentinel admission chain, and the measurement snapshots
 /// taken at the warmup and window-end timers.
@@ -42,6 +71,8 @@ pub(super) struct ServerEngine<'a> {
     pub(super) obs: Obs,
     pub(super) rt: Runtime,
     pub(super) workers: Vec<Worker>,
+    /// Indexed like `workers`; empty when metrics are off.
+    pub(super) series: Vec<WorkerSeries>,
     pub(super) stream_to_worker: HashMap<StreamId, usize>,
     pub(super) chain: AdmissionChain,
     pub(super) deadline_ms: Option<f64>,
@@ -97,6 +128,7 @@ impl ServerEngine<'_> {
             obs,
             rt,
             workers,
+            series,
             stream_to_worker,
             chain,
             arrivals,
@@ -166,12 +198,8 @@ impl ServerEngine<'_> {
                                     request_id: id,
                                     depth,
                                 });
-                            if obs.metrics.enabled() {
-                                obs.metrics.inc(
-                                    "krisp_sentinel_admission_shed_total",
-                                    &[("worker", &wi.to_string())],
-                                    1,
-                                );
+                            if let Some(s) = series.get(wi) {
+                                s.admission_shed.inc(1);
                             }
                             if at < end {
                                 let gap = exp_sample(arrivals, rps_per_worker);
@@ -208,20 +236,12 @@ impl ServerEngine<'_> {
                                     request_id: id,
                                     depth,
                                 });
-                            if obs.metrics.enabled() {
-                                obs.metrics.inc(
-                                    "krisp_requests_shed_total",
-                                    &[("worker", &wi.to_string())],
-                                    1,
-                                );
+                            if let Some(s) = series.get(wi) {
+                                s.queue_shed.inc(1);
                             }
                         }
-                        if obs.metrics.enabled() {
-                            obs.metrics.set_gauge(
-                                "krisp_request_queue_depth",
-                                &[("worker", &wi.to_string())],
-                                workers[wi].queue.len() as f64,
-                            );
+                        if let Some(s) = series.get(wi) {
+                            s.queue_depth.set(workers[wi].queue.len() as f64);
                         }
                         if at < end {
                             let gap = exp_sample(arrivals, rps_per_worker);
@@ -260,7 +280,6 @@ impl ServerEngine<'_> {
                 let wi = stream_to_worker[&stream];
                 if workers[wi].busy && tag + 1 == workers[wi].inflight_kernels as u64 {
                     let w = &mut workers[wi];
-                    let model_name = w.model.name();
                     for start in std::mem::take(&mut w.inflight_starts) {
                         let latency_ms = at.saturating_since(start).as_millis_f64();
                         let request_id = w.records.len() as u64;
@@ -268,12 +287,9 @@ impl ServerEngine<'_> {
                             request_id,
                             start_ns: start.as_nanos(),
                         });
-                        if obs.metrics.enabled() {
-                            let worker_label = wi.to_string();
-                            let labels = [("model", model_name), ("worker", &worker_label)];
-                            obs.metrics.inc("krisp_requests_total", &labels, 1);
-                            obs.metrics
-                                .observe("krisp_request_latency_ms", &labels, latency_ms);
+                        if let Some(s) = series.get(wi) {
+                            s.requests.inc(1);
+                            s.latency_ms.observe(latency_ms);
                         }
                         w.records.push((at, latency_ms));
                         // Feed the brownout controller one headroom sample
@@ -289,14 +305,12 @@ impl ServerEngine<'_> {
                                     to: to.code(),
                                     p95_pct,
                                 });
-                                if obs.metrics.enabled() {
-                                    obs.metrics.inc("krisp_sentinel_transitions_total", &[], 1);
-                                    obs.metrics.set_gauge(
-                                        "krisp_sentinel_state",
-                                        &[],
-                                        f64::from(to.code()),
-                                    );
-                                }
+                                obs.metrics.inc("krisp_sentinel_transitions_total", &[], 1);
+                                obs.metrics.set_gauge(
+                                    "krisp_sentinel_state",
+                                    &[],
+                                    f64::from(to.code()),
+                                );
                             }
                         }
                     }
@@ -495,6 +509,15 @@ pub fn run_server_observed(
             )
         })
         .collect();
+    let series = if obs.metrics.enabled() {
+        workers
+            .iter()
+            .enumerate()
+            .map(|(i, w)| WorkerSeries::resolve(&obs.metrics, i, w.model))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let masks = match config.policy {
         Policy::MpsDefault | Policy::KrispO | Policy::KrispI => None,
         Policy::StaticEqual => Some(static_equal_masks(workers.len(), &topo)),
@@ -585,6 +608,7 @@ pub fn run_server_observed(
         obs,
         rt,
         workers,
+        series,
         stream_to_worker,
         chain,
         deadline_ms,

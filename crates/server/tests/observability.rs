@@ -4,11 +4,16 @@
 //! with the experiment's own results.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_obs::{perfetto, prometheus, EventKind, Histogram, Obs};
-use krisp_server::{oracle_perfdb, run_server, run_server_observed, ServerConfig};
+use krisp_runtime::EmulationCosts;
+use krisp_server::{
+    oracle_perfdb, run_server, run_server_observed, Arrival, KrispEnforcement, SentinelConfig,
+    ServerConfig,
+};
 use krisp_sim::stats::percentile;
 use krisp_sim::SimDuration;
 
@@ -154,4 +159,71 @@ fn disabled_observability_leaves_results_identical() {
     let observed = run_server_observed(&cfg, &db, obs);
     // Observability must not perturb the simulation itself.
     assert_eq!(plain, observed);
+}
+
+/// The one host-timed metric family: its values are wall-clock
+/// nanoseconds, so it differs run to run and is left out of the golden.
+const HOST_TIMED_FAMILY: &str = "krisp_mask_generation_ns";
+
+fn without_host_timed(text: &str) -> String {
+    text.lines()
+        .filter(|l| {
+            !l.starts_with(HOST_TIMED_FAMILY)
+                && *l != format!("# TYPE {HOST_TIMED_FAMILY} histogram")
+        })
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Pins the Prometheus exposition of an emulated KRISP-I run, pushed
+/// past capacity with every sentinel guardrail armed, byte for byte
+/// (minus the host-timed family). The fixture lives outside
+/// `tests/goldens/`, which holds the serving-engine result goldens.
+///
+/// Re-blessing (only when a change *intends* to alter the exported
+/// series): `KRISP_BLESS=1 cargo test -p krisp-server --test
+/// observability`.
+#[test]
+fn exported_metrics_match_the_golden_exposition() {
+    let mut cfg = ServerConfig::closed_loop(Policy::KrispI, vec![ModelKind::Squeezenet; 2], 32);
+    cfg.enforcement = KrispEnforcement::Emulated(EmulationCosts::default());
+    cfg.arrival = Arrival::Poisson {
+        rps_per_worker: 400.0,
+    };
+    cfg.deadline = Some(SimDuration::from_millis(25));
+    cfg.queue_capacity = Some(16);
+    cfg.sentinel = Some(SentinelConfig::standard(150.0));
+    cfg.warmup = Some(SimDuration::from_millis(40));
+    cfg.duration = Some(SimDuration::from_millis(400));
+    let db = oracle_perfdb(&cfg.models, &[cfg.batch]);
+    let (obs, _sink) = Obs::recording(16);
+    run_server_observed(&cfg, &db, obs.clone());
+    let registry = obs.metrics.snapshot().expect("metrics recorded");
+    let got = without_host_timed(&prometheus::render_text(&registry));
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/metrics_emulated_overload.prom");
+    if std::env::var_os("KRISP_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixture dir");
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        eprintln!("[blessed {}]", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {}: {e} (run with KRISP_BLESS=1)",
+            path.display()
+        )
+    });
+    assert_eq!(got, want, "exported metrics diverged from the golden");
+    for family in [
+        "krisp_emulated_launches_total",
+        "krisp_request_latency_ms",
+        "krisp_sentinel_admission_shed_total",
+    ] {
+        assert!(
+            got.contains(&format!("# TYPE {family} ")),
+            "the overload run exports {family}"
+        );
+    }
 }

@@ -67,6 +67,7 @@ pub mod tracelog;
 pub mod wg_engine;
 
 mod kernel;
+mod machine_metrics;
 
 pub use allocator::{FullMaskAllocator, MaskAllocator};
 pub use codel::{CoDel, CoDelConfig, Sojourn};

@@ -43,6 +43,7 @@ use crate::counters::CuKernelCounters;
 use crate::engine::{Engine, KernelId};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::kernel::KernelDesc;
+use crate::machine_metrics::MachineSeries;
 use crate::mask::CuMask;
 use crate::power::{EnergyMeter, PowerModel};
 use crate::queue::{
@@ -112,11 +113,8 @@ pub struct Machine {
     /// superset): a stale entry would make `next_event_at` report a
     /// spurious event "now" and change multi-machine interleaving.
     runnable: BTreeSet<u32>,
-    /// Pre-interned metric label values (`queue.0` as a string, indexed
-    /// by queue id), so the per-completion hot path never allocates.
-    queue_labels: Vec<String>,
-    /// Pre-interned per-CU label values, indexed by global CU id.
-    cu_labels: Vec<String>,
+    /// Metric series resolved to handles (empty when metrics are off).
+    series: MachineSeries,
     pending_dispatch: HashMap<QueueId, DispatchPacket>,
     inflight: HashMap<KernelId, InflightKernel>,
     waiting_on_signal: HashMap<SignalId, (QueueId, u64, SimTime)>,
@@ -181,13 +179,10 @@ impl Machine {
             energy: EnergyMeter::new(),
             busy_cu_seconds: 0.0,
             service_cu_seconds: 0.0,
+            series: MachineSeries::new(&config.obs.metrics, &config.topology),
             obs: config.obs,
             queues: Vec::new(),
             runnable: BTreeSet::new(),
-            queue_labels: Vec::new(),
-            cu_labels: (0..config.topology.total_cus())
-                .map(|cu| cu.to_string())
-                .collect(),
             pending_dispatch: HashMap::new(),
             inflight: HashMap::new(),
             waiting_on_signal: HashMap::new(),
@@ -332,7 +327,7 @@ impl Machine {
     pub fn create_queue(&mut self) -> QueueId {
         let id = QueueId(self.queues.len() as u32);
         self.queues.push(HsaQueue::new(id, &self.topology));
-        self.queue_labels.push(id.0.to_string());
+        self.series.add_queue(&self.obs.metrics, id);
         id
     }
 
@@ -392,12 +387,7 @@ impl Machine {
             .unwrap_or_else(|| panic!("unknown queue {queue}"));
         q.packets.push_back(packet);
         if self.obs.metrics.enabled() {
-            let depth = q.packets.len() as f64;
-            self.obs.metrics.set_gauge(
-                "krisp_queue_depth",
-                &[("queue", &self.queue_labels[queue.0 as usize])],
-                depth,
-            );
+            self.series.queue(queue).depth.set(q.packets.len() as f64);
         }
         self.refresh_runnable(queue.0 as usize);
     }
@@ -632,19 +622,11 @@ impl Machine {
             });
         if self.obs.metrics.enabled() {
             let dur_ns = self.now.saturating_since(started).as_nanos();
-            self.obs.metrics.inc(
-                "krisp_kernel_busy_ns",
-                &[("queue", &self.queue_labels[queue.0 as usize])],
-                dur_ns,
-            );
+            self.series.queue(queue).busy_ns.inc(dur_ns);
             // Per-CU occupancy: nanoseconds each CU spent allocated to
             // some kernel (the Resource Monitor's view, accumulated).
             for cu in &mask {
-                self.obs.metrics.inc(
-                    "krisp_cu_allocated_ns",
-                    &[("cu", &self.cu_labels[usize::from(cu)])],
-                    dur_ns,
-                );
+                self.series.cu_allocated_ns[usize::from(cu)].inc(dur_ns);
             }
         }
         self.out.push_back(SimEvent::KernelCompleted {
@@ -777,14 +759,13 @@ impl Machine {
                 required_cus: d.partition_cus.unwrap_or(0),
             });
         if self.obs.metrics.enabled() {
-            let mode = if self.mode == EnforcementMode::KernelScoped && d.partition_cus.is_some() {
-                "kernel_scoped"
-            } else {
-                "queue_mask"
-            };
-            self.obs
-                .metrics
-                .inc("krisp_kernel_dispatches_total", &[("mode", mode)], 1);
+            let dispatches =
+                if self.mode == EnforcementMode::KernelScoped && d.partition_cus.is_some() {
+                    &self.series.kernel_scoped
+                } else {
+                    &self.series.queue_mask
+                };
+            dispatches.inc(1);
         }
         let jitter = self.sample_jitter();
         let straggle = self.straggle_factor(queue);

@@ -10,7 +10,7 @@ MAX_LINES=900
 # file => grandfathered ceiling (current size; ratchet down as they shrink)
 declare -A GRANDFATHERED=(
   ["crates/sim/src/machine.rs"]=1523
-  ["crates/runtime/src/runtime.rs"]=1511
+  ["crates/runtime/src/runtime.rs"]=1353
 )
 
 fail=0
